@@ -5,7 +5,7 @@ numeric columns ship as raw little-endian buffers decoded zero-copy
 (>= 5x the tagged-JSON codec — the CLI floor in ``cluster-bench
 --interchange``), a coalesced insert run encodes once and replays
 batched at >= 3x the per-op framed apply, and accumulator snapshots
-frame once per state change.  The micro-benchmarks here pin the
+encode to one typed frame.  The micro-benchmarks here pin the
 per-op costs underneath the CLI floors: column encode/decode, op and
 op-batch round-trips, insert-run coalescing, accumulator snapshot
 encode/decode, and the framed telemetry ship/absorb pair.
@@ -44,28 +44,12 @@ def test_catchup_sweep_across_lags(lag):
     dominate there — but every lag must land byte-identical state."""
     result = run_interchange_bench(
         lag=lag, batches=2, batch_rows=32, column_values=512,
-        codec_iterations=2, preload=40, scorecard_reads=4,
-        storm_count=20, rounds=2,
+        codec_iterations=2, preload=40, storm_count=20, rounds=2,
     )
     assert result.state_diffs == 0
     assert result.catchup_speedup > 0
     if lag >= 1_000:
         assert result.catchup_speedup >= 3.0, result.render()
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("shards", [1, 4, 16])
-def test_scorecard_reduce_across_shard_counts(shards):
-    """Encoded-snapshot scorecard reduction at 1/4/16 shards: the
-    reduce must stay equivalence-clean at every width (the speedup is
-    informational — one shard has nothing to reduce across)."""
-    result = run_interchange_bench(
-        lag=200, batches=1, batch_rows=32, column_values=512,
-        codec_iterations=2, shard_count=shards, preload=40 * shards,
-        scorecard_reads=12, storm_count=20, rounds=2,
-    )
-    assert result.equivalence_diffs == 0
-    assert result.equivalence_checks > 0
 
 
 def _columns(count=COLUMN, seed=SEED):
@@ -189,7 +173,7 @@ def _accumulator(rows=2_000, seed=SEED):
 
 
 def test_accumulator_encode(benchmark):
-    """Snapshot state to one typed frame (the scorecard ship side)."""
+    """Snapshot state to one typed frame (the ship side)."""
     accumulator = _accumulator()
 
     payload = benchmark(interchange.encode_accumulator, accumulator)
@@ -197,7 +181,7 @@ def test_accumulator_encode(benchmark):
 
 
 def test_accumulator_decode(benchmark):
-    """Frame back to a mergeable accumulator (the reduce side)."""
+    """Frame back to a mergeable accumulator (the receive side)."""
     accumulator = _accumulator()
     payload = interchange.encode_accumulator(accumulator)
 

@@ -193,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--interchange", action="store_true",
         help="run the typed-buffer interchange bench (raw-buffer column "
              "codec vs tagged JSON, batched replication catch-up vs the "
-             "per-op framed apply, the encoded scorecard reduce, and "
-             "the same-seed storm byte-identity oracle with the gate "
-             "on and off); exit 1 on a missed floor",
+             "per-op framed apply, telemetry shipping, and the "
+             "same-seed storm byte-identity oracle with the gate on and "
+             "off); exit 1 on a missed floor",
     )
     cluster_bench.add_argument(
         "--backend", default="file", choices=["file", "sqlite"],

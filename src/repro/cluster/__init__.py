@@ -1,4 +1,4 @@
-"""``repro.cluster`` — the sharded, thread-parallel DQ serving layer.
+"""``repro.cluster`` — the sharded DQ serving layer.
 
 **Beyond the paper.**  DQ_WebRE ends at a single generated web application
 (the EasyChair case study); this package is our scaling extension: a

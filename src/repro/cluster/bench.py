@@ -231,7 +231,6 @@ def run_comparison(
             users=users,
             cache_capacity=capacity,
             max_queue_depth=max(512, count),
-            workers=shards,
             fault_plan=fault_plan,
             resilience=(
                 ResilienceConfig() if fault_plan is not None else None
@@ -484,7 +483,7 @@ def run_hotpath_bench(
     # -- 1. deepcopy vs copy-on-write snapshots on the read path ---------
     gateway = ShardedGateway.from_design(
         design_model, shard_count=shard_count, users=easychair.USERS,
-        cache_capacity=0, max_queue_depth=4096, workers=shard_count,
+        cache_capacity=0, max_queue_depth=4096,
     )
     try:
         for response in gateway.submit_many(
@@ -516,7 +515,7 @@ def run_hotpath_bench(
     def write_gateway() -> ShardedGateway:
         return ShardedGateway.from_design(
             design_model, shard_count=shard_count, users=easychair.USERS,
-            cache_capacity=0, max_queue_depth=4096, workers=shard_count,
+            cache_capacity=0, max_queue_depth=4096,
         )
 
     def unbatched_pass() -> HotpathRow:
@@ -793,7 +792,7 @@ def run_smoke(
             # other knobs shrink to smoke scale
             lag=1_200, batches=2, batch_rows=64, column_values=4_096,
             codec_iterations=12, shard_count=3, preload=120,
-            scorecard_reads=24, storm_count=100, seed=seed, rounds=2,
+            storm_count=100, seed=seed, rounds=2,
         )
         failures.extend(interchange.floor_failures())
         if not failures:
@@ -1357,7 +1356,7 @@ def run_dqtelemetry_bench(
     def fresh_gateway() -> ShardedGateway:
         return ShardedGateway.from_design(
             design_model, shard_count=shard_count, users=easychair.USERS,
-            cache_capacity=0, max_queue_depth=4096, workers=shard_count,
+            cache_capacity=0, max_queue_depth=4096,
         )
 
     def drive_writes(gateway, payloads) -> HotpathRow:
@@ -2389,7 +2388,7 @@ def run_durability_bench(
             return ShardedGateway.from_design(
                 design_model, shard_count=shard_count,
                 users=easychair.USERS, cache_capacity=0,
-                max_queue_depth=4096, workers=shard_count,
+                max_queue_depth=4096,
                 persistence=factory,
             )
 
@@ -2827,7 +2826,6 @@ def run_replication_bench(
             design_model, shard_count=shard_count, users=easychair.USERS,
             replicas=replicas, staleness_bound=staleness_bound,
             vnodes=vnodes, cache_capacity=0, max_queue_depth=4096,
-            workers=shard_count,
         )
 
     def serve_pass(topology: bool) -> HotpathRow:
@@ -2977,9 +2975,9 @@ class InterchangeBenchResult:
     individually framed, decoded and applied — the non-batched
     interchange wire) at ``lag`` acked ops of follower lag, **zero**
     state diffs (every catch-up lane lands ``capture_state``
-    byte-identical), zero equivalence diffs (scorecard reduce and
-    telemetry shipping bit-identical with the gate on and off), and the
-    same-seed topology storm byte-identical either way.  A third
+    byte-identical), zero equivalence diffs (column codec round trips
+    and telemetry shipping bit-identical), and the same-seed topology
+    storm byte-identical with the gate on and off.  A third
     informational catch-up row, ``catch-up per-op in-memory``, is the
     legacy gate-off lane that hands live dict references per op without
     any wire at all.
@@ -3019,15 +3017,6 @@ class InterchangeBenchResult:
         apply (both lanes pay the codec; batching is the variable)."""
         return self._speedup(
             "catch-up batched frame", "catch-up per-op framed"
-        )
-
-    @property
-    def scorecard_speedup(self) -> float:
-        """Cluster scorecard, encoded reduce over locked readings
-        (informational — the hard floor lives in the dq telemetry
-        bench's rescan ratio)."""
-        return self._speedup(
-            "scorecard encoded reduce", "scorecard locked readings"
         )
 
     def floor_failures(self) -> list:
@@ -3081,7 +3070,6 @@ class InterchangeBenchResult:
             "rows": [row.as_dict() for row in self.rows],
             "codec_speedup": round(self.codec_speedup, 3),
             "catchup_speedup": round(self.catchup_speedup, 3),
-            "scorecard_speedup": round(self.scorecard_speedup, 3),
             "floors": {
                 "min_codec_speedup": self.min_codec_speedup,
                 "min_catchup_speedup": self.min_catchup_speedup,
@@ -3129,8 +3117,7 @@ class InterchangeBenchResult:
             f"column codec: {self.codec_speedup:.2f}x tagged JSON "
             f"(floor {self.min_codec_speedup:.1f}x) · catch-up: "
             f"{self.catchup_speedup:.2f}x per-op framed "
-            f"(floor {self.min_catchup_speedup:.1f}x) · scorecard "
-            f"reduce: {self.scorecard_speedup:.2f}x locked readings\n"
+            f"(floor {self.min_catchup_speedup:.1f}x)\n"
             f"oracles: {self.state_diffs} state diff(s) over "
             f"{self.state_checks} catch-up(s), {self.equivalence_diffs} "
             f"equivalence diff(s) over {self.equivalence_checks} "
@@ -3149,7 +3136,6 @@ def run_interchange_bench(
     codec_iterations: int = 40,
     shard_count: int = 3,
     preload: int = 180,
-    scorecard_reads: int = 40,
     storm_count: int = 120,
     seed: int = 23,
     rounds: int = 3,
@@ -3183,11 +3169,10 @@ def run_interchange_bench(
        sync is not billed against the per-op lanes.  Floor:
        ``min_catchup_speedup``; oracle: ``capture_state``
        byte-equality across all three lanes on every round.
-    3. **Scorecard reduce** — ``scorecard_reads`` ``live_scorecard``
-       reads against a preloaded gateway, locked per-shard readings vs
-       the encoded-frame reduce (informational row) with score-line
-       equality checked both ways, plus one telemetry op-stream
-       ship/absorb fingerprint check.
+    3. **Telemetry shipping** — after a write burst on a gateway
+       preloaded with ``preload`` records, one shard's accumulator
+       snapshot frame, decoded and fed any op stream the shard then
+       ships, must reproduce the shard's accumulator fingerprint.
     4. **Storm oracle** — the same seeded topology storm (live
        split/merge, replica lag, failover, kill-restart on the file
        WAL) with the gate forced on and off: report render and
@@ -3368,10 +3353,10 @@ def run_interchange_bench(
         rounds,
     ))
 
-    # -- 3. scorecard reduce + telemetry shipping -------------------------
+    # -- 3. telemetry shipping --------------------------------------------
     gateway = ShardedGateway.from_design(
         design_model, shard_count=shard_count, users=easychair.USERS,
-        cache_capacity=0, max_queue_depth=4096, workers=shard_count,
+        cache_capacity=0, max_queue_depth=4096,
     )
     try:
         payload_rng = random.Random(seed)
@@ -3382,52 +3367,14 @@ def run_interchange_bench(
         )
         if any(r.status != 201 for r in responses):  # pragma: no cover
             raise RuntimeError("interchange bench preload failed")
-        bounds = {}
-        entity_fields = tuple(
-            gateway.shards[0].store.entity(spec.entity).fields
-        )
-
-        def scorecard_lane(encoded: bool) -> HotpathRow:
-            with forced_interchange(encoded):
-                elapsed, samples = _timed_loop([
-                    (lambda: gateway.live_scorecard(spec.entity))
-                ] * scorecard_reads)
-            name = (
-                "scorecard encoded reduce" if encoded
-                else "scorecard locked readings"
-            )
-            return HotpathRow(name, scorecard_reads, elapsed, samples)
-
-        rows.extend(_best_of(
-            [lambda: scorecard_lane(False), lambda: scorecard_lane(True)],
-            rounds,
-        ))
-        with forced_interchange(True):
-            lines_on = gateway.live_scorecard(spec.entity)
-        with forced_interchange(False):
-            lines_off = gateway.live_scorecard(spec.entity)
-        equivalence_checks += 1
-        if [
-            (line.characteristic, line.score, line.evidence)
-            for line in lines_on
-        ] != [
-            (line.characteristic, line.score, line.evidence)
-            for line in lines_off
-        ]:
-            equivalence_diffs += 1  # pragma: no cover - equivalence bug
-
-        # telemetry op-stream shipping: encode one shard's pending queue
-        # on a fresh write burst, absorb it into a mirror accumulator
+        # telemetry shipping: one shard's snapshot frame plus the op
+        # stream it ships after a fresh write burst rebuild its state
         gateway.submit_many(
             spec.form,
             [spec.clean_payload(payload_rng) for _ in range(64)],
             writer,
         )
         shard_store = gateway.shards[0].store.entity(spec.entity)
-        mirror = make_app()
-        mirror_store = mirror.store.entity(spec.entity)
-        # prime the mirror to the shard's pre-burst state so only the
-        # shipped delta separates the two accumulators
         baseline_frame = shard_store.telemetry_frame()
         ops_frame = shard_store.ship_telemetry_ops()
         equivalence_checks += 1
@@ -3442,7 +3389,6 @@ def run_interchange_bench(
                 decoded.absorb(interchange.decode_telemetry_ops(ops_frame))
             if interchange.accumulator_fingerprint(decoded) != shard_fp:
                 equivalence_diffs += 1  # pragma: no cover
-        del entity_fields, bounds, mirror, mirror_store
     finally:
         gateway.close()
 

@@ -5,7 +5,7 @@ the paper's case study never had to build: every DQSR guarantee the
 single-threaded :class:`~repro.runtime.app.WebApp` enforces (completeness
 and precision validation, confidentiality filtering, traceability and
 audit, optimistic concurrency) is preserved while requests fan out across
-shards from a worker thread pool.
+shards.
 
 Design in one breath:
 
@@ -13,9 +13,10 @@ Design in one breath:
   keyed operation with :class:`~repro.cluster.sharding.ShardRouter`
   (``fnv1a(entity#id) mod N``); listing reads scatter to all shards and
   gather a merged, id-sorted body.
-* **Isolation** — each shard is guarded by its own re-entrant lock, so a
-  shard's ``WebApp`` only ever sees one request at a time and stays
-  internally consistent; different shards serve concurrently.
+* **Concurrency** — shard work runs on the caller's thread, under that
+  shard's own re-entrant lock, so a shard's ``WebApp`` only ever sees one
+  request at a time and stays internally consistent, while concurrent
+  callers still reach different shards in parallel.
 * **Backpressure** — admitted-but-unfinished dispatches are counted; past
   ``max_queue_depth`` the gateway answers **429** immediately instead of
   queueing without bound, and **503** once closed.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,7 +44,6 @@ from repro.core.errors import (
     VersionConflictError,
 )
 from repro.dq.metadata import Clock
-from repro.interchange import interchange_active
 from repro.runtime.app import WebApp
 from repro.runtime.http import (
     Request,
@@ -110,14 +109,14 @@ class GatewayRoute:
 
 
 class ShardedGateway:
-    """A thread-parallel, sharded, caching front for N ``WebApp`` shards.
+    """A sharded, caching front for N ``WebApp`` shards.
 
     ``shards`` must be built identically (same entities, forms, policies
     and registered users) — :meth:`from_design` does exactly that from a
     design model.  ``cache_capacity=0`` disables the read cache;
     ``max_queue_depth`` bounds admitted-but-unfinished dispatches before
-    429s start; ``workers`` sizes the dispatch pool (default: one per
-    shard).
+    429s start.  Every request runs on its caller's thread; the
+    per-shard locks serialize work on one shard, not across shards.
     """
 
     def __init__(
@@ -125,7 +124,6 @@ class ShardedGateway:
         shards: Sequence[WebApp],
         cache_capacity: int = 256,
         max_queue_depth: int = 64,
-        workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceConfig] = None,
         write_batch_max: int = 32,
@@ -154,23 +152,15 @@ class ShardedGateway:
         self.metrics = GatewayMetrics(len(self.shards))
         self.max_queue_depth = max_queue_depth
         self._shard_locks = [threading.RLock() for _ in self.shards]
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers or len(self.shards),
-            thread_name_prefix="gateway",
-        )
+        # admitted-but-unfinished dispatches; ``close()`` waits on this
+        # condition until they drain, and ``_closed`` is read under it
+        # so no request is admitted after the drain began
         self._pending = 0
-        self._pending_lock = threading.Lock()
+        self._pending_cond = threading.Condition()
+        self._closed = False
         self._entity_versions: dict[str, int] = {}
         self._version_lock = threading.Lock()
         self._routes: list[GatewayRoute] = []
-        self._closed = False
-        # Encoded scorecard reduce (repro.interchange): per-(entity,
-        # shard-index) decoded accumulator snapshots and the merged
-        # reduction, each keyed by the producing store's frame cache key
-        # so any absorbed mutation invalidates them.
-        self._frame_decode_cache: dict[tuple, tuple] = {}
-        self._frame_merge_cache: dict[str, tuple] = {}
-        self._frame_lock = threading.Lock()
         # Durability: ``_shard_factory(index)`` rebuilds shard ``index``
         # from its durable state after a kill (set by ``from_design``);
         # without one, injected kills degrade to plain crashes.
@@ -397,61 +387,44 @@ class ShardedGateway:
         policy = self.shards[0].policies.for_entity(entity)
         level = policy.security_level
         apps = self._scorecard_apps()
-        if interchange_active():
-            # encoded reduce: per-shard accumulator frames decoded once
-            # (cached on the stores' frame keys) and merged cluster-wide
-            # — shards serialize their state exactly once per mutation
-            # epoch instead of once per scorecard read.
-            aggregate = self._reduce_from_frames(
-                entity, apps, fields, bounds, level, max_age
-            )
-            if aggregate is None:
-                return None
-        else:
-            readings = []
-            for shard in apps:
-                now = shard.clock.peek()
+        readings = []
+        for shard in apps:
+            now = shard.clock.peek()
 
-                def read(accumulator, now=now):
-                    valid = []
-                    for name, (lower, upper) in bounds.items():
-                        field = accumulator.field_or_none(name)
-                        valid.append(
-                            field.count_in_bounds(lower, upper)
-                            if field is not None else 0
-                        )
-                    return (
-                        accumulator.records,
-                        sum(accumulator.present_of(name) for name in fields),
-                        valid,
-                        accumulator.currentness_total(now, max_age)
-                        if accumulator.records else 0.0,
-                        accumulator.traced,
-                        accumulator.protected_count(level) if level else 0,
+            def read(accumulator, now=now):
+                valid = []
+                for name, (lower, upper) in bounds.items():
+                    field = accumulator.field_or_none(name)
+                    valid.append(
+                        field.count_in_bounds(lower, upper)
+                        if field is not None else 0
                     )
-
-                reading = shard.store.entity(entity).measure_telemetry(read)
-                if reading is None:
-                    return None
-                readings.append(reading)
-            valid_list = []
-            for index in range(len(bounds)):
-                per_shard = [reading[2][index] for reading in readings]
-                valid_list.append(
-                    None if any(count is None for count in per_shard)
-                    else sum(per_shard)
+                return (
+                    accumulator.records,
+                    sum(accumulator.present_of(name) for name in fields),
+                    valid,
+                    accumulator.currentness_total(now, max_age)
+                    if accumulator.records else 0.0,
+                    accumulator.traced,
+                    accumulator.protected_count(level) if level else 0,
                 )
-            aggregate = (
-                sum(reading[0] for reading in readings),
-                sum(reading[1] for reading in readings),
-                valid_list,
-                sum(reading[3] for reading in readings),
-                sum(reading[4] for reading in readings),
-                sum(reading[5] for reading in readings),
+
+            reading = shard.store.entity(entity).measure_telemetry(read)
+            if reading is None:
+                return None
+            readings.append(reading)
+        total = sum(reading[0] for reading in readings)
+        present_sum = sum(reading[1] for reading in readings)
+        valid_list = []
+        for index in range(len(bounds)):
+            per_shard = [reading[2][index] for reading in readings]
+            valid_list.append(
+                None if any(count is None for count in per_shard)
+                else sum(per_shard)
             )
-        total, present_sum, valid_list, decayed, traced, protected = (
-            aggregate
-        )
+        decayed = sum(reading[3] for reading in readings)
+        traced = sum(reading[4] for reading in readings)
+        protected = sum(reading[5] for reading in readings)
         lines = []
         if total == 0 or not fields:
             completeness = 1.0
@@ -509,82 +482,6 @@ class ShardedGateway:
                 f"policy level {policy.security_level}",
             ))
         return lines
-
-    def _reduce_from_frames(
-        self, entity, apps, fields, bounds, level, max_age
-    ):
-        """One cluster-wide scorecard aggregate ``(total, present_sum,
-        valid_list, decayed, traced, protected)`` reduced from encoded
-        accumulator frames.
-
-        Every shard serializes its accumulator once per mutation epoch
-        (:meth:`EntityStore.telemetry_frame` caches on the updates
-        counter); the gateway decodes each frame once (cache keyed on
-        the producing app and frame key, so follower swaps and absorbed
-        mutations both invalidate) and folds the decoded snapshots
-        through :func:`merge_accumulators` — KMV sketches, M2 moments
-        and count tables merge without rehashing.  Currentness cannot
-        compose cluster-wide (each shard decays against its own clock),
-        so it sums per-shard totals off the decoded snapshots in shard
-        order, exactly like the locked reading path.  ``None`` when any
-        shard has telemetry disabled.  A bounded field whose merged
-        tracker spilled reports ``None`` in ``valid_list``; the caller
-        rescans that field exactly as the legacy path does.
-        """
-        from repro import interchange
-        from repro.dq.streaming import merge_accumulators
-
-        with self._frame_lock:
-            snapshots = []
-            keys = []
-            for index, app in enumerate(apps):
-                now = app.clock.peek()
-                frame = app.store.entity(entity).telemetry_frame()
-                if frame is None:
-                    return None
-                key, payload = frame
-                cache_key = (entity, index)
-                cached = self._frame_decode_cache.get(cache_key)
-                if (
-                    cached is None
-                    or cached[0] is not app
-                    or cached[1] != key
-                ):
-                    cached = (
-                        app, key, interchange.decode_accumulator(payload)
-                    )
-                    self._frame_decode_cache[cache_key] = cached
-                snapshots.append((now, cached[2]))
-                keys.append(key)
-            merge_key = (len(keys), tuple(keys))
-            merged_entry = self._frame_merge_cache.get(entity)
-            if merged_entry is None or merged_entry[0] != merge_key:
-                merged_entry = (
-                    merge_key,
-                    merge_accumulators(acc for _now, acc in snapshots),
-                )
-                self._frame_merge_cache[entity] = merged_entry
-            merged = merged_entry[1]
-            valid_list = []
-            for name, (lower, upper) in bounds.items():
-                field = merged.field_or_none(name)
-                valid_list.append(
-                    field.count_in_bounds(lower, upper)
-                    if field is not None else 0
-                )
-            decayed = sum(
-                acc.currentness_total(now, max_age)
-                if acc.records else 0.0
-                for now, acc in snapshots
-            )
-            return (
-                merged.records,
-                sum(merged.present_of(name) for name in fields),
-                valid_list,
-                decayed,
-                merged.traced,
-                merged.protected_count(level) if level else 0,
-            )
 
     def rescan_scorecard(
         self,
@@ -673,8 +570,9 @@ class ShardedGateway:
 
         Durable shard backends are closed cleanly (pending WAL appends
         synced), so a closed gateway's data directory always recovers."""
-        self._closed = True
-        self._pool.shutdown(wait=True)
+        with self._pending_cond:
+            self._closed = True
+            self._pending_cond.wait_for(lambda: self._pending == 0)
         for shard in self.shards:
             persistence = getattr(shard, "persistence", None)
             if persistence is not None:
@@ -688,28 +586,42 @@ class ShardedGateway:
 
     # -- dispatch machinery ----------------------------------------------
 
-    def _dispatch(self, operation: str, shards: tuple, work) -> Response:
-        if self._closed:
+    def _admit(self) -> Optional[int]:
+        """Take one dispatch slot: ``None``, or the status refusing it
+        (503 once closed, 429 past ``max_queue_depth``)."""
+        with self._pending_cond:
+            if self._closed:
+                return 503
+            if self._pending >= self.max_queue_depth:
+                return 429
+            self._pending += 1
+            return None
+
+    def _refusal(self, status: int) -> Response:
+        """One refused op's response, counted in the metrics."""
+        if status == 503:
             self.metrics.observe_unavailable()
             return unavailable("gateway is closed")
-        with self._pending_lock:
-            if self._pending >= self.max_queue_depth:
-                self.metrics.observe_backpressure()
-                return too_many_requests(
-                    f"queue depth {self.max_queue_depth} exceeded",
-                    retry_after=1,
-                )
-            self._pending += 1
+        self.metrics.observe_backpressure()
+        return too_many_requests(
+            f"queue depth {self.max_queue_depth} exceeded", retry_after=1,
+        )
+
+    def _release(self, slots: int = 1) -> None:
+        with self._pending_cond:
+            self._pending -= slots
+            if self._pending == 0:
+                self._pending_cond.notify_all()
+
+    def _dispatch(self, operation: str, shards: tuple, work) -> Response:
+        refused = self._admit()
+        if refused is not None:
+            return self._refusal(refused)
         start = time.perf_counter()
         try:
-            try:
-                response = self._pool.submit(work).result()
-            except RuntimeError:  # pool shut down between check and submit
-                self.metrics.observe_unavailable()
-                return unavailable("gateway is closed")
+            response = work()
         finally:
-            with self._pending_lock:
-                self._pending -= 1
+            self._release()
         self.metrics.observe(
             operation, shards, response.status, time.perf_counter() - start
         )
@@ -980,8 +892,10 @@ class ShardedGateway:
         shard are then grouped into chunks of at most ``write_batch_max``
         and applied through :meth:`WebApp.submit_batch` under a **single**
         shard-lock acquisition (and a single idempotency registration,
-        retry loop and cache invalidation) per chunk.  Chunks for
-        different shards run concurrently on the dispatch pool.
+        retry loop and cache invalidation) per chunk.  Every chunk is
+        admitted (or refused with 429) before any runs; the admitted
+        chunks then run in shard order on the caller's thread, each
+        releasing its dispatch slot as it finishes.
 
         The response list is positional — ``responses[i]`` answers
         ``payloads[i]`` with the same statuses the unbatched path
@@ -992,78 +906,57 @@ class ShardedGateway:
         payloads = list(payloads)
         if not payloads:
             return []
-        if self._closed:
-            for _ in payloads:
-                self.metrics.observe_unavailable()
-            return [unavailable("gateway is closed") for _ in payloads]
         entity = self._entity_of_form(form_name)
         placements = [self.router.placement(entity) for _ in payloads]
         responses: list[Optional[Response]] = [None] * len(payloads)
         by_shard: dict[int, list[int]] = {}
         for position, (_, shard_index) in enumerate(placements):
             by_shard.setdefault(shard_index, []).append(position)
-        chunks: list[tuple[int, list[int]]] = []
+        admitted = []
         for shard_index in sorted(by_shard):
             positions = by_shard[shard_index]
             for start in range(0, len(positions), self.write_batch_max):
-                chunks.append(
-                    (shard_index, positions[start:start + self.write_batch_max])
+                chunk = positions[start:start + self.write_batch_max]
+                refused = self._admit()
+                if refused is None:
+                    admitted.append((shard_index, chunk))
+                    continue
+                for position in chunk:
+                    responses[position] = self._refusal(refused)
+        try:
+            while admitted:
+                shard_index, positions = admitted.pop(0)
+                work = self._batch_work(
+                    form_name, entity, payloads, placements, shard_index,
+                    positions, user,
                 )
-
-        pending_futures = []
-        for shard_index, positions in chunks:
-            with self._pending_lock:
-                admitted = self._pending < self.max_queue_depth
-                if admitted:
-                    self._pending += 1
-            if not admitted:
+                started = time.perf_counter()
+                try:
+                    outcome = work()
+                finally:
+                    self._release()
+                statuses = []
                 for position in positions:
-                    self.metrics.observe_backpressure()
-                    responses[position] = too_many_requests(
-                        f"queue depth {self.max_queue_depth} exceeded",
-                        retry_after=1,
-                    )
-                continue
-            work = self._batch_work(
-                form_name, entity, payloads, placements, shard_index,
-                positions, user,
-            )
-            started = time.perf_counter()
-            try:
-                future = self._pool.submit(work)
-            except RuntimeError:  # pool shut down between check and submit
-                with self._pending_lock:
-                    self._pending -= 1
-                for position in positions:
-                    self.metrics.observe_unavailable()
-                    responses[position] = unavailable("gateway is closed")
-                continue
-            pending_futures.append((shard_index, positions, started, future))
-
-        for shard_index, positions, started, future in pending_futures:
-            try:
-                outcome = future.result()
-            finally:
-                with self._pending_lock:
-                    self._pending -= 1
-            statuses = []
-            for position in positions:
-                responses[position] = outcome[position]
-                statuses.append(outcome[position].status)
-            self.metrics.observe_batch("submit-batch", len(positions))
-            self.metrics.observe(
-                "submit-batch",
-                (shard_index,),
-                max(statuses),
-                time.perf_counter() - started,
-            )
+                    responses[position] = outcome[position]
+                    statuses.append(outcome[position].status)
+                self.metrics.observe_batch("submit-batch", len(positions))
+                self.metrics.observe(
+                    "submit-batch",
+                    (shard_index,),
+                    max(statuses),
+                    time.perf_counter() - started,
+                )
+        finally:
+            # a chunk that raised leaves the later chunks unrun; their
+            # slots must still drain or close() would wait forever
+            self._release(len(admitted))
         return responses
 
     def _batch_work(
         self, form_name, entity, payloads, placements, shard_index,
         positions, user,
     ):
-        """Build the pooled callable applying one same-shard write chunk."""
+        """Build the callable applying one same-shard write chunk."""
         record_ids = [placements[position][0] for position in positions]
         rows = [payloads[position] for position in positions]
 

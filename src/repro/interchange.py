@@ -56,10 +56,9 @@ a decoded :class:`~repro.dq.streaming.FieldAccumulator` drops the
 order is not observable), and count-table *insertion order* after a
 lane split follows int-lane-then-residue order.
 
-The whole layer is gated: ``REPRO_NO_INTERCHANGE=1`` turns every
-consumer (batched catch-up, encoded scorecard reduce) back to the exact
-per-op / per-reading paths, and ``forced_interchange(bool)`` flips the
-gate for paired equivalence drills — same-seed chaos and topology
+The batched catch-up is gated: ``REPRO_NO_INTERCHANGE=1`` turns it
+back to the exact per-op replay, and ``forced_interchange(bool)`` flips
+the gate for paired equivalence drills — same-seed chaos and topology
 storms must be byte-identical either way.
 """
 
@@ -139,8 +138,8 @@ def interchange_active() -> bool:
 @contextmanager
 def forced_interchange(on: bool):
     """Force the interchange gate for the duration of a ``with`` block —
-    the paired-equivalence hook (batched vs per-op catch-up, encoded vs
-    locked scorecard reduce) the benches and property suites drive."""
+    the paired-equivalence hook (batched vs per-op catch-up) the benches
+    and property suites drive."""
     global _active
     previous = _active
     _active = bool(on)
@@ -778,7 +777,7 @@ def decode_telemetry_ops(data) -> list[tuple]:
     return ops
 
 
-# -- accumulator snapshots (scorecard reduce) ------------------------------
+# -- accumulator snapshots --------------------------------------------------
 
 def _split_counts(out: list, table: dict) -> None:
     """A count table as i64 key/count buffers plus a JSON residue for

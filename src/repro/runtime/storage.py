@@ -557,10 +557,6 @@ class EntityStore:
         self._telemetry: Optional[EntityAccumulator] = EntityAccumulator(name)
         self._telemetry_pending: list[tuple] = []
         self.telemetry_rebuilds = 0
-        # encode-once cache for `telemetry_frame`: (key, frame bytes),
-        # keyed on the accumulator identity + its mutation counters so
-        # any absorbed op invalidates it
-        self._telemetry_frame_cache: Optional[tuple] = None
 
     def attach_backend(self, backend) -> None:
         """Swap the durable backend in place (replication failover).
@@ -632,14 +628,11 @@ class EntityStore:
 
     def telemetry_frame(self) -> Optional[tuple]:
         """The accumulator snapshot as an encoded interchange frame —
-        ``(cache_key, frame_bytes)``, or ``None`` while disabled.
+        ``(key, frame_bytes)``, or ``None`` while disabled.
 
-        Serialized **once** per state change: the frame is cached
-        against the accumulator's ``(updates, records)`` counters
-        (every absorbed mutation ticks ``updates``), so a burst of
-        scorecard reads between writes pays one encode.  The key is
-        also the consumer's decode-cache handle: equal keys guarantee
-        an identical frame.
+        The key is the accumulator's identity plus its ``(updates,
+        records)`` counters (every absorbed mutation ticks ``updates``),
+        so equal keys name an identical frame.
         """
         from repro import interchange
 
@@ -648,12 +641,7 @@ class EntityStore:
             if accumulator is None:
                 return None
             key = (id(accumulator), accumulator.updates, accumulator.records)
-            cached = self._telemetry_frame_cache
-            if cached is not None and cached[0] == key:
-                return cached
-            frame = interchange.encode_accumulator(accumulator)
-            self._telemetry_frame_cache = (key, frame)
-            return self._telemetry_frame_cache
+            return key, interchange.encode_accumulator(accumulator)
 
     def ship_telemetry_ops(self) -> Optional[bytes]:
         """Drain the deferred telemetry queue into one encoded

@@ -37,12 +37,19 @@ def small_bench(seed: int = 23):
     )
 
 
-def test_floors_hold_at_smoke_scale():
+def retried_small_bench():
+    """``small_bench``, retried on two further seeds while a wall-clock
+    floor misses: only a repeated miss is a regression."""
     result = small_bench()
     for attempt in range(2):
         if result.passed:
             break
         result = small_bench(seed=23 + attempt + 1)  # retry: machine load
+    return result
+
+
+def test_floors_hold_at_smoke_scale():
+    result = retried_small_bench()
     print()
     print(result.render())
     assert result.passed, "\n".join(result.floor_failures())
@@ -92,7 +99,7 @@ def test_cli_dqtelemetry_mode(monkeypatch, tmp_path):
         captured.update(
             shard_count=shard_count, seed=seed, json_path=json_path
         )
-        return small_bench()
+        return retried_small_bench()
 
     monkeypatch.setattr(repro.cluster, "run_dqtelemetry_bench", fake_bench)
     out = io.StringIO()

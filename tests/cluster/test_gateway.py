@@ -7,10 +7,13 @@ gateway's own contract: deterministic placement, backpressure (429) and
 drain (503).
 """
 
+import threading
+
 import pytest
 
 from repro.casestudy import easychair
 from repro.cluster import ShardedGateway
+from repro.persistence import persistence_factory
 
 FORM = "Add all data as result of review form"
 ENTITY = "Add all data as result of review"
@@ -197,6 +200,84 @@ class TestBackpressureAndDrain:
             FORM, easychair.complete_review(), "pc_member_1"
         ).status == 503
         assert gateway.metrics.rejected_unavailable == 3
+
+    def test_close_drains_a_parked_write_before_closing_backends(
+        self, tmp_path
+    ):
+        gateway = ShardedGateway.from_design(
+            easychair.build_design(), shard_count=2, users=easychair.USERS,
+            persistence=persistence_factory(tmp_path, kind="file"),
+        )
+        entered = threading.Event()
+        release = threading.Event()
+        events = []
+        for app in gateway.shards:
+            def gated(*args, inner=app.submit, **kwargs):
+                entered.set()
+                release.wait()
+                stored = inner(*args, **kwargs)
+                events.append("write returned")
+                return stored
+
+            def closing(inner=app.persistence.close):
+                events.append("backend closed")
+                inner()
+
+            app.submit = gated
+            app.persistence.close = closing
+        held = {}
+        writer = threading.Thread(target=lambda: held.update(
+            response=gateway.submit(
+                FORM, easychair.complete_review(), "pc_member_1"
+            )
+        ))
+        writer.start()
+        closer = threading.Thread(target=gateway.close)
+        try:
+            assert entered.wait(timeout=30), "the write never parked"
+            closer.start()
+            closer.join(timeout=0.2)
+            # close() is waiting on the parked write: no backend closed
+            assert closer.is_alive()
+            assert events == []
+        finally:
+            release.set()
+            writer.join(timeout=30)
+            if closer.ident is not None:  # started
+                closer.join(timeout=30)
+        assert not writer.is_alive() and not closer.is_alive()
+        assert events == ["write returned"] + ["backend closed"] * 2
+        assert held["response"].status == 201
+        record_id = held["response"].body["id"]
+
+        refused_single = gateway.submit(
+            FORM, easychair.complete_review(), "pc_member_1"
+        )
+        refused_batch = gateway.submit_many(
+            FORM, [easychair.complete_review()] * 3, "pc_member_1"
+        )
+        assert refused_single.status == 503
+        assert [r.status for r in refused_batch] == [503] * 3
+        assert gateway.metrics.rejected_unavailable == 4
+
+        # the drained write was synced: the data dir recovers it
+        restarted = ShardedGateway.from_design(
+            easychair.build_design(), shard_count=2, users=easychair.USERS,
+            persistence=persistence_factory(tmp_path, kind="file"),
+        )
+        try:
+            view = restarted.view(ENTITY, record_id, "chair")
+            assert view.status == 200
+            assert view.body["id"] == record_id
+        finally:
+            restarted.close()
+
+    def test_workers_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            ShardedGateway.from_design(
+                easychair.build_design(), shard_count=2,
+                users=easychair.USERS, workers=2,
+            )
 
 
 class TestHttpFacade:

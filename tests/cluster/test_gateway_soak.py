@@ -10,15 +10,21 @@ DQ-guarantee violations —
 * version conflicts surface as 409s, never as lost updates.
 """
 
+import random
+import threading
+
 import pytest
 
 from repro.casestudy import easychair
 from repro.cluster import (
     LoadGenerator,
+    LoadReport,
+    Operation,
     SOAK_MIX,
     ShardedGateway,
     verify_guarantees,
 )
+from repro.cluster.loadgen import WRITE
 
 FORM = "Add all data as result of review form"
 ENTITY = "Add all data as result of review"
@@ -31,7 +37,6 @@ def test_soak_eight_threads_thousand_requests_zero_violations():
         shard_count=4,
         users=easychair.USERS,
         max_queue_depth=256,
-        workers=8,
     )
     try:
         # preload so reads and updates have targets from the first tick
@@ -67,21 +72,65 @@ def test_soak_eight_threads_thousand_requests_zero_violations():
 
 @pytest.mark.slow
 def test_soak_tiny_queue_backpressures_instead_of_queueing_unbounded():
+    """Park ``max_queue_depth`` writes inside the shards: every request
+    that arrives while they hold the queue must be refused with a 429
+    at once, and the guarantees must hold once the writes resume."""
+    depth = 2
     gateway = ShardedGateway.from_design(
         easychair.build_design(),
         shard_count=2,
         users=easychair.USERS,
-        max_queue_depth=2,
-        workers=1,
+        max_queue_depth=depth,
     )
+    release = threading.Event()
+    parked = threading.Semaphore(0)
+    for app in gateway.shards:
+        def gated(*args, inner=app.submit, **kwargs):
+            if not release.is_set():
+                parked.release()
+                release.wait()
+            return inner(*args, **kwargs)
+
+        app.submit = gated
+    generator = LoadGenerator(seed=7)
+    report = LoadReport(spec=generator.spec)
+    rng = random.Random(7)
+    held_writes = [
+        Operation(WRITE, "pc_member_1", generator.spec.clean_payload(rng))
+        for _ in range(depth)
+    ]
+    holder = threading.Thread(
+        target=generator.run,
+        kwargs=dict(
+            gateway=gateway, operations=held_writes, threads=depth,
+            report=report,
+        ),
+    )
+    holder.start()
     try:
-        generator = LoadGenerator(seed=7)
-        report = generator.run(gateway, count=400, threads=8)
+        for _ in range(depth):
+            assert parked.acquire(timeout=30), "a held write never parked"
+        refused = gateway.submit(
+            FORM, easychair.complete_review(), "pc_member_1"
+        )
+        report.observe_write(WRITE, "pc_member_1", refused)
+        assert refused.status == 429
+        assert refused.headers.get("Retry-After")
+        generator.run(gateway, count=200, threads=8, report=report)
+        assert report.backpressured == 1 + 200  # nothing got past the queue
+
+        release.set()
+        holder.join(timeout=30)
+        assert not holder.is_alive()
+        generator.run(gateway, count=200, threads=8, report=report)
         assert report.backpressured > 0
+        assert len(report.accepted_ids) >= depth  # the held writes landed
         assert (
             gateway.metrics.rejected_backpressure == report.backpressured
         )
         # backpressured requests changed nothing and audited nothing
         assert verify_guarantees(gateway, report) == []
     finally:
+        release.set()
+        holder.join(timeout=30)
         gateway.close()

@@ -1,12 +1,11 @@
-"""Interchange on the replication and scorecard paths.
+"""Interchange on the replication and telemetry paths.
 
 The pinned contracts: batched frame catch-up lands followers in
 ``capture_state`` **byte-identical** state to the per-op replay
 (coalesced insert runs included), a second ``LogTruncated`` during
 bootstrap cannot escape ``catch_up``, explicit ``prune_to`` caps a
 ship buffer pinned by a never-caught-up follower (and evicts the
-coalesced-run payload cache), the cluster scorecard reads identically
-with the gate on and off, telemetry op frames absorb to the same
+coalesced-run payload cache), telemetry op frames absorb to the same
 accumulator state as the in-process queue, and the shareable
 certification chain never over-claims.
 """
@@ -17,7 +16,7 @@ import pytest
 
 from repro import interchange
 from repro.casestudy import easychair
-from repro.cluster import LoadGenerator, ShardedGateway, easychair_spec
+from repro.cluster import easychair_spec
 from repro.cluster.replication import (
     CATCHUP_ATTEMPTS,
     LogTruncated,
@@ -273,29 +272,7 @@ def test_coalesced_cache_evicts_only_pruned_spans():
     assert len(log._coalesced) == 1
 
 
-# -- scorecard + telemetry equivalence --------------------------------------
-
-
-def _run_gateway(batched: bool, operations=60, seed=17):
-    spec = easychair_spec()
-    generator = LoadGenerator(spec=spec, seed=seed)
-    gateway = ShardedGateway.from_design(
-        easychair.build_design(), shard_count=3, users=easychair.USERS,
-    )
-    with forced_interchange(batched):
-        generator.run(
-            gateway, operations=generator.plan(operations), threads=1
-        )
-        lines = gateway.live_scorecard(spec.entity)
-    assert lines is not None
-    return [
-        (line.characteristic, line.score, line.evidence)
-        for line in lines
-    ]
-
-
-def test_cluster_scorecard_is_identical_with_gate_on_and_off():
-    assert _run_gateway(True) == _run_gateway(False)
+# -- telemetry equivalence --------------------------------------------------
 
 
 def test_telemetry_frame_absorbs_to_in_process_state():
