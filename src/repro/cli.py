@@ -192,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_bench.add_argument(
         "--interchange", action="store_true",
         help="run the typed-buffer interchange bench (raw-buffer column "
-             "codec vs tagged JSON, batched replication catch-up vs the "
-             "per-op framed apply, telemetry shipping, and the "
-             "same-seed storm byte-identity oracle with the gate on and "
-             "off); exit 1 on a missed floor",
+             "codec vs tagged JSON, batched in-memory replication "
+             "catch-up vs the per-op framed apply over interleaved "
+             "rounds, telemetry shipping, and the byte-identity oracle "
+             "over two same-seed storms); exit 1 on a missed floor",
     )
     cluster_bench.add_argument(
         "--backend", default="file", choices=["file", "sqlite"],

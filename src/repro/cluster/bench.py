@@ -688,7 +688,7 @@ class SmokeResult:
                 f"interchange floors: codec "
                 f"{self.interchange.codec_speedup:.2f}x tagged JSON "
                 f"(>= {self.interchange.min_codec_speedup:.1f}x), "
-                f"catch-up {self.interchange.catchup_speedup:.2f}x "
+                f"catch-up median {self.interchange.catchup_speedup:.2f}x "
                 f"per-op framed "
                 f"(>= {self.interchange.min_catchup_speedup:.1f}x), "
                 f"{self.interchange.state_diffs} state diff(s) over "
@@ -696,7 +696,7 @@ class SmokeResult:
                 f"{self.interchange.equivalence_diffs} equivalence "
                 f"diff(s), storm "
                 f"{'byte-identical' if self.interchange.storm.get('identical') else 'DIVERGED'}"
-                f" on/off"
+                f" across same-seed runs"
             )
         lines.extend(f"  floor missed: {failure}" for failure in self.failures)
         return "\n".join(lines)
@@ -2970,17 +2970,17 @@ class InterchangeBenchResult:
 
     The floors are the interchange acceptance numbers: encode+decode of
     numeric columns at least ``min_codec_speedup`` x the tagged-JSON
-    codec, batched replication catch-up at least ``min_catchup_speedup``
-    x the per-op apply under the same codec discipline (each op
-    individually framed, decoded and applied — the non-batched
-    interchange wire) at ``lag`` acked ops of follower lag, **zero**
-    state diffs (every catch-up lane lands ``capture_state``
-    byte-identical), zero equivalence diffs (column codec round trips
-    and telemetry shipping bit-identical), and the same-seed topology
-    storm byte-identical with the gate on and off.  A third
-    informational catch-up row, ``catch-up per-op in-memory``, is the
-    legacy gate-off lane that hands live dict references per op without
-    any wire at all.
+    codec; production catch-up (``ReplicaSet.catch_up``, batched
+    in-memory) at least ``min_catchup_speedup`` x the per-op framed
+    apply (each op individually framed, decoded and applied) at ``lag``
+    acked ops of follower lag, gated on the **median** of the per-round
+    ratios in ``catchup_ratios``; **zero** state diffs over a non-zero
+    number of checks (every catch-up lane lands ``capture_state``
+    byte-identical); zero equivalence diffs (column codec round trips
+    and telemetry shipping bit-identical); and two same-seed topology
+    storms byte-identical.  A third catch-up row, ``catch-up per-op
+    in-memory`` (``apply_op`` per shipped op, no wire), is information
+    only.
     """
 
     seed: int
@@ -2993,6 +2993,7 @@ class InterchangeBenchResult:
     equivalence_checks: int
     equivalence_diffs: int
     storm: dict
+    catchup_ratios: list
     min_codec_speedup: float = 5.0
     min_catchup_speedup: float = 3.0
 
@@ -3013,11 +3014,15 @@ class InterchangeBenchResult:
 
     @property
     def catchup_speedup(self) -> float:
-        """Follower catch-up, batched frame over the per-op framed
-        apply (both lanes pay the codec; batching is the variable)."""
-        return self._speedup(
-            "catch-up batched frame", "catch-up per-op framed"
-        )
+        """Median per-round ratio of the per-op framed apply's time over
+        production catch-up's (batched in-memory)."""
+        return _percentile(self.catchup_ratios, 0.5)
+
+    @property
+    def catchup_spread(self) -> tuple:
+        """Lowest and highest per-round catch-up ratio."""
+        ratios = self.catchup_ratios
+        return (min(ratios), max(ratios)) if ratios else (0.0, 0.0)
 
     def floor_failures(self) -> list:
         """Every missed acceptance floor, as human-readable strings."""
@@ -3029,10 +3034,12 @@ class InterchangeBenchResult:
             )
         if self.catchup_speedup < self.min_catchup_speedup:
             failures.append(
-                f"batched catch-up {self.catchup_speedup:.2f}x < "
+                f"catch-up median {self.catchup_speedup:.2f}x < "
                 f"{self.min_catchup_speedup:.1f}x per-op framed at "
                 f"{self.lag}-op lag"
             )
+        if not self.state_checks:
+            failures.append("0 cross-lane catch-up state checks ran")
         if self.state_diffs:
             failures.append(
                 f"{self.state_diffs} capture_state diff(s) over "
@@ -3045,12 +3052,11 @@ class InterchangeBenchResult:
             )
         if not self.storm.get("identical", False):
             failures.append(
-                "same-seed topology storm not byte-identical with "
-                "interchange on and off"
+                "two same-seed topology storms not byte-identical"
             )
         if not self.storm.get("ok", False):
             failures.append(
-                f"topology storm under interchange: "
+                f"topology storm: "
                 f"{self.storm.get('violations', '?')} guarantee "
                 f"violation(s)"
             )
@@ -3070,6 +3076,12 @@ class InterchangeBenchResult:
             "rows": [row.as_dict() for row in self.rows],
             "codec_speedup": round(self.codec_speedup, 3),
             "catchup_speedup": round(self.catchup_speedup, 3),
+            "catchup_ratios": [
+                round(ratio, 3) for ratio in self.catchup_ratios
+            ],
+            "catchup_spread": [
+                round(bound, 3) for bound in self.catchup_spread
+            ],
             "floors": {
                 "min_codec_speedup": self.min_codec_speedup,
                 "min_catchup_speedup": self.min_catchup_speedup,
@@ -3113,19 +3125,29 @@ class InterchangeBenchResult:
             ],
             max_width=60,
         )
+        low, high = self.catchup_spread
         footer = (
             f"column codec: {self.codec_speedup:.2f}x tagged JSON "
-            f"(floor {self.min_codec_speedup:.1f}x) · catch-up: "
-            f"{self.catchup_speedup:.2f}x per-op framed "
+            f"(floor {self.min_codec_speedup:.1f}x) · catch-up: median "
+            f"{self.catchup_speedup:.2f}x per-op framed over "
+            f"{len(self.catchup_ratios)} round(s), spread "
+            f"{low:.2f}–{high:.2f}x "
             f"(floor {self.min_catchup_speedup:.1f}x)\n"
             f"oracles: {self.state_diffs} state diff(s) over "
             f"{self.state_checks} catch-up(s), {self.equivalence_diffs} "
             f"equivalence diff(s) over {self.equivalence_checks} "
             f"check(s), storm "
             f"{'byte-identical' if self.storm.get('identical') else 'DIVERGED'}"
-            f" on/off; floors {'met' if self.passed else 'MISSED'}"
+            f" across same-seed runs; floors "
+            f"{'met' if self.passed else 'MISSED'}"
         )
         return f"{header}\n{body}\n{footer}"
+
+
+#: Interleaved rounds of the interchange bench's catch-up lanes.  Each
+#: lane is one timed call per round, so the floor gates the median of
+#: the per-round ratios rather than a best-of pair.
+CATCHUP_ROUNDS = 5
 
 
 def run_interchange_bench(
@@ -3153,31 +3175,33 @@ def run_interchange_bench(
        .encode_column`) vs the tagged-JSON codec
        (:func:`repro.persistence.encode_payload`) on the same values.
        Floor: ``min_codec_speedup``.
-    2. **Batched catch-up** — a primary accrues ``lag`` single-insert
-       ops plus ``batches`` compact ``rows`` ops (``batch_rows`` records
-       each); the identical acked tail then replays into a fresh
-       follower three ways.  The floored pair keeps the codec
-       discipline constant and varies only batching: *per-op framed*
-       (each op individually framed, CRC-checked, decoded, applied and
-       clock-advanced — the non-batched interchange wire) vs *batched
-       frame* (real ``ReplicaSet.catch_up`` under the gate: coalesced
-       insert runs, one frame, contiguous admissions through
-       ``restore_records`` in one lock trip).  The *per-op in-memory*
-       lane (gate off — live dict references, zero serialization) rides
-       along as an informational row.  Every lane ends scan-ready
-       (``columnar_stats`` folds the kernels) so eager chunked kernel
-       sync is not billed against the per-op lanes.  Floor:
-       ``min_catchup_speedup``; oracle: ``capture_state``
-       byte-equality across all three lanes on every round.
+    2. **Catch-up** — a primary accrues ``lag`` single-insert ops plus
+       ``batches`` compact ``rows`` ops (``batch_rows`` records each);
+       the identical acked tail then replays into a fresh follower
+       three ways: *per-op framed* (each op individually framed,
+       CRC-checked, decoded, applied and clock-advanced), *per-op
+       in-memory* (``apply_op`` per shipped op dict, information only)
+       and *batched in-memory* (the production ``ReplicaSet.catch_up``:
+       the shipped op dicts applied in place, contiguous admissions
+       through ``restore_records`` in one lock trip).  Every lane ends
+       scan-ready (``columnar_stats`` folds the kernels) so eager
+       chunked kernel sync is not billed against the per-op lanes.
+       The lanes run :data:`CATCHUP_ROUNDS` interleaved rounds; the
+       framed/batched ratio is taken per round and the
+       floor ``min_catchup_speedup`` gates its median.  Oracle:
+       ``capture_state`` byte-equality across all three lanes on every
+       round.
     3. **Telemetry shipping** — after a write burst on a gateway
        preloaded with ``preload`` records, one shard's accumulator
        snapshot frame, decoded and fed any op stream the shard then
        ships, must reproduce the shard's accumulator fingerprint.
     4. **Storm oracle** — the same seeded topology storm (live
        split/merge, replica lag, failover, kill-restart on the file
-       WAL) with the gate forced on and off: report render and
-       cluster-state checksum must be byte-identical.
+       WAL) run twice: report render and cluster-state checksum must
+       be byte-identical.
 
+    ``rounds`` covers only the best-of codec rows of phase 1; the
+    catch-up lanes always run :data:`CATCHUP_ROUNDS` rounds.
     ``json_path`` additionally writes ``BENCH_interchange.json``.
     """
     from array import array
@@ -3185,7 +3209,6 @@ def run_interchange_bench(
     from repro import interchange
     from repro.casestudy import easychair
     from repro.dq.metadata import Clock
-    from repro.interchange import forced_interchange
     from repro.persistence import (
         apply_op,
         capture_state,
@@ -3257,7 +3280,7 @@ def run_interchange_bench(
 
     rows.extend(_best_of([json_pass, typed_pass], rounds))
 
-    # -- 2. batched catch-up vs per-op apply ------------------------------
+    # -- 2. catch-up: production in-memory lane vs per-op lanes ----------
     seed_log = ReplicationLog()
     primary = make_app(seed_log)
     entity = primary.store.entity(spec.entity)
@@ -3287,71 +3310,59 @@ def run_interchange_bench(
                     state_diffs += 1  # pragma: no cover - equivalence bug
         lane_states[name] = state
 
-    def per_op_framed_lane() -> HotpathRow:
-        # per-op apply under the same codec discipline: each tail op is
-        # individually framed, CRC-checked, decoded and applied — what a
-        # non-batched interchange wire pays per op
-        follower = make_app()
-        gc.collect()
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
+    framed_lane = "catch-up per-op framed"
+    in_memory_lane = "catch-up per-op in-memory"
+    batched_lane = "catch-up batched in-memory"
+
+    def run_lane(name: str) -> float:
+        if name == batched_lane:
+            log = ReplicationLog()
             for op in tail_ops:
-                blob = interchange.frame(interchange.encode_op(op))
-                decoded = interchange.decode_value(
-                    interchange.unframe(blob)
-                )
-                apply_op(follower, decoded)
-                follower.clock.advance_to(op_tick(decoded))
+                log.append(op)
+            log.sync()
+            replica_set = ReplicaSet(make_app, log, count=1)
+            follower = replica_set.follower(0)
+            apply = replica_set.catch_up
+        else:
+            follower = make_app()
+            framed = name == framed_lane
+
+            def apply():
+                for op in tail_ops:
+                    if framed:
+                        # what a non-batched wire pays per op
+                        op = interchange.decode_value(interchange.unframe(
+                            interchange.frame(interchange.encode_op(op))
+                        ))
+                    apply_op(follower, op)
+                    follower.clock.advance_to(op_tick(op))
+
+        def timed():
+            apply()
             # scan-ready: fold the admitted tail into the kernels, as
             # the chunked admission path does eagerly
             follower.store.entity(spec.entity).columnar_stats()
-            elapsed = time.perf_counter() - start
-        finally:
-            if was_enabled:
-                gc.enable()
-        _note_state("catch-up per-op framed", follower)
-        return HotpathRow(
-            "catch-up per-op framed", len(tail_ops), elapsed, [elapsed]
-        )
 
-    def catchup_lane(batched: bool) -> HotpathRow:
-        log = ReplicationLog()
-        for op in tail_ops:
-            log.append(op)
-        log.sync()
-        replica_set = ReplicaSet(make_app, log, count=1)
-        name = (
-            "catch-up batched frame"
-            if batched
-            else "catch-up per-op in-memory"
-        )
-        with forced_interchange(batched):
-            gc.collect()
-            was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                replica_set.catch_up()
-                replica_set.follower(0).store.entity(
-                    spec.entity
-                ).columnar_stats()
-                elapsed = time.perf_counter() - start
-            finally:
-                if was_enabled:
-                    gc.enable()
-        _note_state(name, replica_set.follower(0))
-        return HotpathRow(name, len(tail_ops), elapsed, [elapsed])
+        elapsed, _samples = _timed_loop([timed])
+        _note_state(name, follower)
+        return elapsed
 
-    rows.extend(_best_of(
-        [
-            per_op_framed_lane,
-            lambda: catchup_lane(False),
-            lambda: catchup_lane(True),
-        ],
-        rounds,
-    ))
+    lanes = (framed_lane, in_memory_lane, batched_lane)
+    lane_times: dict[str, list] = {name: [] for name in lanes}
+    catchup_ratios: list[float] = []
+    for _ in range(CATCHUP_ROUNDS):
+        for name in lanes:
+            lane_times[name].append(run_lane(name))
+        catchup_ratios.append(
+            lane_times[framed_lane][-1] / lane_times[batched_lane][-1]
+        )
+    rows.extend(
+        HotpathRow(
+            name, len(tail_ops), _percentile(lane_times[name], 0.5),
+            lane_times[name],
+        )
+        for name in lanes
+    )
 
     # -- 3. telemetry shipping --------------------------------------------
     gateway = ShardedGateway.from_design(
@@ -3392,33 +3403,27 @@ def run_interchange_bench(
     finally:
         gateway.close()
 
-    # -- 4. same-seed topology storm, gate on vs off ----------------------
-    with forced_interchange(True):
-        storm_on = run_topology_chaos(
+    # -- 4. same-seed topology storm, run twice --------------------------
+    storm_runs = [
+        run_topology_chaos(
             seed=seed, shard_count=shard_count, count=storm_count,
             preload=12, replicas=1, staleness_bound=16,
             persistence="file", kills=1, replica_lags=2, failovers=1,
         )
-    with forced_interchange(False):
-        storm_off = run_topology_chaos(
-            seed=seed, shard_count=shard_count, count=storm_count,
-            preload=12, replicas=1, staleness_bound=16,
-            persistence="file", kills=1, replica_lags=2, failovers=1,
-        )
+        for _ in range(2)
+    ]
+    first, second = storm_runs
+    checksum_equal = first.checksum == second.checksum
+    render_equal = first.report.render() == second.report.render()
     storm = {
-        "ok": storm_on.ok,
-        "violations": len(storm_on.violations),
-        "identical": (
-            storm_on.checksum == storm_off.checksum
-            and storm_on.report.render() == storm_off.report.render()
-        ),
-        "checksum_equal": storm_on.checksum == storm_off.checksum,
-        "render_equal": (
-            storm_on.report.render() == storm_off.report.render()
-        ),
-        "migrated": storm_on.migrated,
-        "restarts": storm_on.restarts,
-        "failovers": storm_on.failovers,
+        "ok": all(run.ok for run in storm_runs),
+        "violations": sum(len(run.violations) for run in storm_runs),
+        "identical": checksum_equal and render_equal,
+        "checksum_equal": checksum_equal,
+        "render_equal": render_equal,
+        "migrated": first.migrated,
+        "restarts": first.restarts,
+        "failovers": first.failovers,
     }
 
     result = InterchangeBenchResult(
@@ -3432,6 +3437,7 @@ def run_interchange_bench(
         equivalence_checks=equivalence_checks,
         equivalence_diffs=equivalence_diffs,
         storm=storm,
+        catchup_ratios=catchup_ratios,
         min_codec_speedup=min_codec_speedup,
         min_catchup_speedup=min_catchup_speedup,
     )

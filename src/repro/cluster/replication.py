@@ -17,9 +17,12 @@ an op the client was not yet promised.
 A follower is a structurally identical :class:`WebApp` (same entities,
 forms, policies, users — confidentiality is enforced by the same code
 path, not re-implemented) that catches up by *pulling* the primary's
-log tail through :func:`repro.persistence.apply_op` — the exact replay
-path crash recovery uses, so replicated state is rebuilt the same way
-recovered state is.  Catch-up happens at read time, never on a
+acked op dicts straight out of the ship buffer and replaying them
+through :func:`repro.persistence.apply_ops` — crash recovery's replay
+path, with contiguous record admissions batched — so replicated state
+is rebuilt the same way recovered state is.  In-process followers never
+encode anything; :meth:`ReplicationLog.ship_frame` is the wire form of
+the same tail.  Catch-up happens at read time, never on a
 background thread, which keeps seeded chaos runs byte-identical.
 
 Failover inverts the roles: the most caught-up follower applies every
@@ -36,10 +39,8 @@ import threading
 from typing import Callable, Optional
 
 from repro import interchange
-from repro.interchange import interchange_active
 from repro.persistence import (
     RecoveredState,
-    apply_op,
     apply_ops,
     capture_state,
     op_tick,
@@ -78,8 +79,6 @@ class ReplicationLog(PersistenceBackend):
         self._seq = 0
         self._staged: list[tuple[int, dict]] = []
         self._shippable: list[tuple[int, dict]] = []
-        self._encoded: dict[int, bytes] = {}
-        self._coalesced: dict[tuple[int, int], bytes] = {}
         self._acked_seq = 0
         self._base_seq = 0
 
@@ -188,74 +187,15 @@ class ReplicationLog(PersistenceBackend):
 
     def ship_frame(self, after_seq: int) -> bytes:
         """The acked tail after ``after_seq`` as one length+CRC framed
-        interchange batch (:func:`repro.interchange.decode_op_batch`
-        inverts it).
+        interchange batch, contiguous insert runs coalesced
+        (:func:`repro.interchange.decode_op_batch` inverts it).
 
-        Each op is encoded **once**, lazily at first ship, and the
-        bytes are cached against its sequence number — every follower
-        pulling the same tail (and every re-ship to a lagging one)
-        reuses the encodings, paying only the batch concat + CRC.
-        The cache is pruned alongside the ship buffer.
-
-        Contiguous same-entity ``insert`` runs of at least
-        :data:`repro.interchange.COALESCE_MIN` ops are folded into one
-        synthetic plain ``rows`` op (columnar layout-hoisted payload,
-        :func:`repro.interchange.coalesce_insert_runs`) carried under
-        the run's last seq — replaying it is record-for-record identical
-        to the folded inserts, and the run payload is cached against its
-        ``(first_seq, last_seq)`` span.
-        """
-        with self._lock:
-            if after_seq < self._base_seq:
-                raise LogTruncated(
-                    f"ops after seq {after_seq} are gone "
-                    f"(base is {self._base_seq}); bootstrap from snapshot"
-                )
-            tail = [
-                (seq, op) for seq, op in self._shippable if seq > after_seq
-            ]
-            encoded = self._encoded
-            runs = self._coalesced
-            seqs: list[int] = []
-            payloads: list[bytes] = []
-            index, count = 0, len(tail)
-            while index < count:
-                seq, op = tail[index]
-                if op.get("op") == "insert":
-                    entity = op["entity"]
-                    end = index + 1
-                    while end < count:
-                        nxt = tail[end][1]
-                        if (
-                            nxt.get("op") != "insert"
-                            or nxt["entity"] != entity
-                        ):
-                            break
-                        end += 1
-                    if end - index >= interchange.COALESCE_MIN:
-                        last_seq = tail[end - 1][0]
-                        key = (seq, last_seq)
-                        payload = runs.get(key)
-                        if payload is None:
-                            ((_, synthetic),) = (
-                                interchange.coalesce_insert_runs(
-                                    tail[index:end], minimum=2
-                                )
-                            )
-                            payload = interchange.encode_op(synthetic)
-                            runs[key] = payload
-                        seqs.append(last_seq)
-                        payloads.append(payload)
-                        index = end
-                        continue
-                payload = encoded.get(seq)
-                if payload is None:
-                    payload = interchange.encode_op(op)
-                    encoded[seq] = payload
-                seqs.append(seq)
-                payloads.append(payload)
-                index += 1
-            return interchange.build_op_batch(seqs, payloads)
+        Catch-up does not use it — followers apply :meth:`ship`'s op
+        dicts in place; this is the encoded form of the same tail for a
+        consumer on the far side of a wire."""
+        return interchange.encode_op_batch(
+            interchange.coalesce_insert_runs(self.ship(after_seq))
+        )
 
     def prune(self, up_to_seq: int) -> None:
         """Drop shippable ops every follower has applied (the replica
@@ -278,18 +218,6 @@ class ReplicationLog(PersistenceBackend):
                 for kept_seq, op in self._shippable
                 if kept_seq > seq
             ]
-            if self._encoded:
-                self._encoded = {
-                    kept_seq: payload
-                    for kept_seq, payload in self._encoded.items()
-                    if kept_seq > seq
-                }
-            if self._coalesced:
-                self._coalesced = {
-                    span: payload
-                    for span, payload in self._coalesced.items()
-                    if span[0] > seq
-                }
             self._base_seq = max(self._base_seq, seq)
 
     def successor(self) -> "ReplicationLog":
@@ -377,13 +305,12 @@ class ReplicaSet:
         a bounded retry (``CATCHUP_ATTEMPTS``) so a prune racing the
         bootstrap cannot escape as a second :class:`LogTruncated`.
 
-        With the interchange gate on, the tail travels as one encoded
-        frame (:meth:`ReplicationLog.ship_frame`) and applies **batched**
-        through :func:`repro.persistence.apply_ops` — contiguous record
-        admissions land via the columnar ``_col_add_chunk`` path under
-        one lock trip; ``REPRO_NO_INTERCHANGE=1`` keeps the exact per-op
-        replay, and ``capture_state`` byte-equality between the two is
-        the pinned oracle.
+        Each follower applies the shipped op dicts in place through
+        :func:`repro.persistence.apply_ops` — contiguous record
+        admissions land batched via ``restore_records`` under one lock
+        trip, every other op replays exactly as crash recovery does.
+        The stores copy each row dict on admission, so followers fed
+        the same tail never alias each other or the primary.
         """
         with self._lock:
             for index in range(len(self.followers)):
@@ -391,22 +318,15 @@ class ReplicaSet:
                 # the bootstrap may have replaced the follower object —
                 # re-read it so the tail lands on the live one
                 follower = self.followers[index]
-                if interchange_active() and len(tail) > 1:
-                    # decoded ops own every dict they carry — adopt the
-                    # row dicts into the store without a defensive copy
+                if tail:
                     ops = [op for _, op in tail]
-                    apply_ops(follower, ops, adopt=True)
+                    apply_ops(follower, ops)
                     # sequential per-op advance_to is monotone, so one
                     # advance to the run's maximum tick is equivalent
                     follower.clock.advance_to(
                         max(op_tick(op) for op in ops)
                     )
                     self._applied[index] = tail[-1][0]
-                else:
-                    for seq, op in tail:
-                        apply_op(follower, op)
-                        follower.clock.advance_to(op_tick(op))
-                        self._applied[index] = seq
                 if now is not None:
                     follower.clock.advance_to(now)
             self.log.prune_to(min(self._applied))
@@ -419,10 +339,6 @@ class ReplicaSet:
         truncated: Optional[LogTruncated] = None
         for _ in range(CATCHUP_ATTEMPTS):
             try:
-                if interchange_active():
-                    return interchange.decode_op_batch(
-                        self.log.ship_frame(self._applied[index])
-                    )
                 return self.log.ship(self._applied[index])
             except LogTruncated as exc:
                 truncated = exc

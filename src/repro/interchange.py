@@ -1,9 +1,10 @@
 """Zero-copy typed-buffer interchange: the cluster's batch wire codec.
 
-Everything that moves between nodes in bulk — replication catch-up
-batches, ``cols`` telemetry ops, streaming-accumulator snapshots — is
-encoded here as a length+CRC framed binary batch, reusing the WAL's
-framing discipline (:mod:`repro.persistence.wal`):
+Everything that would move between nodes in bulk — replication op
+batches (:meth:`~repro.cluster.replication.ReplicationLog.ship_frame`),
+``cols`` telemetry ops, streaming-accumulator snapshots — is encoded
+here as a length+CRC framed binary batch, reusing the WAL's framing
+discipline (:mod:`repro.persistence.wal`):
 
 .. code-block:: text
 
@@ -56,23 +57,22 @@ a decoded :class:`~repro.dq.streaming.FieldAccumulator` drops the
 order is not observable), and count-table *insertion order* after a
 lane split follows int-lane-then-residue order.
 
-The batched catch-up is gated: ``REPRO_NO_INTERCHANGE=1`` turns it
-back to the exact per-op replay, and ``forced_interchange(bool)`` flips
-the gate for paired equivalence drills — same-seed chaos and topology
-storms must be byte-identical either way.
+In-process consumers do not ride the codec: replication followers
+apply the primary's acked op dicts directly and live scorecards reduce
+locked readings, because encoding for a follower in the same process
+would pay a JSON round trip per op for nothing.  The codec is the wire form
+for whatever runs across a process boundary, and there is no gate.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import os
 import struct
 import sys
 import zlib
 from array import array
 from collections import Counter
-from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from repro.dq.metadata import DQMetadataRecord
@@ -102,9 +102,6 @@ def _encode_ordered(obj) -> bytes:
         obj if _plain(obj) else _pack(obj)
     ).encode("utf-8")
 
-#: Environment gate: set to ``1`` to force every interchange consumer
-#: back onto the exact per-op / per-reading legacy paths.
-NO_INTERCHANGE_ENV = "REPRO_NO_INTERCHANGE"
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -125,28 +122,11 @@ class CorruptFrame(InterchangeError):
     """A frame failed its length or CRC check."""
 
 
-# -- the gate ---------------------------------------------------------------
-
-_active = os.environ.get(NO_INTERCHANGE_ENV, "") in ("", "0")
-
-
 def interchange_active() -> bool:
-    """Is the encoded batch path on (env gate + any forced override)?"""
-    return _active
-
-
-@contextmanager
-def forced_interchange(on: bool):
-    """Force the interchange gate for the duration of a ``with`` block —
-    the paired-equivalence hook (batched vs per-op catch-up) the benches
-    and property suites drive."""
-    global _active
-    previous = _active
-    _active = bool(on)
-    try:
-        yield
-    finally:
-        _active = previous
+    """Always ``True``: the codec is no longer gated.  Kept only because
+    the e2e harness's environment line (``e2ebench/harness.py``) still
+    imports and reports it."""
+    return True
 
 
 # -- framing (the WAL discipline) ------------------------------------------
@@ -614,23 +594,15 @@ def encode_op(op: dict) -> bytes:
     return b"".join(out)
 
 
-def build_op_batch(seqs: Sequence[int], payloads: Sequence[bytes]) -> bytes:
-    """Frame pre-encoded op payloads (from :func:`encode_op`) into one
-    catch-up batch — the ship path encodes each op once and reuses the
-    bytes across followers, paying only the concat + CRC here."""
-    out: list = [bytes([_K_OPS]), _U32.pack(len(payloads))]
-    _emit_buffer(out, array("q", seqs))
-    for payload in payloads:
+def encode_op_batch(pairs: Sequence[tuple[int, dict]]) -> bytes:
+    """``[(seq, op), ...]`` as one framed batch."""
+    out: list = [bytes([_K_OPS]), _U32.pack(len(pairs))]
+    _emit_buffer(out, array("q", [seq for seq, _ in pairs]))
+    for _, op in pairs:
+        payload = encode_op(op)
         out.append(_U32.pack(len(payload)))
         out.append(payload)
     return frame(b"".join(out))
-
-
-def encode_op_batch(pairs: Sequence[tuple[int, dict]]) -> bytes:
-    """``[(seq, op), ...]`` as one framed batch."""
-    return build_op_batch(
-        [seq for seq, _ in pairs], [encode_op(op) for _, op in pairs]
-    )
 
 
 def decode_op_batch(data) -> list[tuple[int, dict]]:

@@ -162,7 +162,7 @@ def _collect_admissions(op: dict, entries: list) -> None:
                 entries.append((record_id, data, None, 1, bool(pinned)))
 
 
-def apply_ops(app, ops, adopt: bool = False) -> int:
+def apply_ops(app, ops) -> int:
     """Replay a durable op run with contiguous record admissions
     **batched**: runs of ``insert`` / ``rows`` / ``adopt`` ops against
     one entity are materialized into entries and admitted through
@@ -173,13 +173,12 @@ def apply_ops(app, ops, adopt: bool = False) -> int:
     (``capture_state`` equality is the pinned oracle); returns the
     number of ops applied.
 
-    ``adopt=True`` is the zero-copy handover: the caller certifies the
-    ops were freshly decoded (WAL replay, interchange catch-up) so
-    their row dicts are aliased nowhere else, and batched admissions
-    hand them to the store without a defensive copy.  Ops carrying a
-    ``shareable=True`` certification (stamped by the primary's batch
-    write path, or by :func:`repro.interchange.coalesce_insert_runs`)
-    additionally skip the per-record shareability walk; runs split at
+    The store copies every admitted row dict, so ops shipped to several
+    followers are never aliased into any of them.  Ops carrying a
+    ``shareable=True`` certification (stamped by the primary's write
+    path, or by :func:`repro.interchange.coalesce_insert_runs`) skip
+    the per-record shareability walk — the shallow copy shares only
+    values the primary certified as immutable; runs split at
     certification boundaries so an uncertified op never dilutes a
     certified run.
     """
@@ -206,9 +205,7 @@ def apply_ops(app, ops, adopt: bool = False) -> int:
                 end += 1
             if len(entries) > 1:
                 app.store.entity(entity_name).restore_records(
-                    entries,
-                    adopt=adopt,
-                    shareable=adopt and certified,
+                    entries, shareable=certified
                 )
             else:
                 for position in range(index, end):

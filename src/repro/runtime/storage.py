@@ -1395,7 +1395,6 @@ class EntityStore:
     def restore_records(
         self,
         entries: Sequence[tuple],
-        adopt: bool = False,
         shareable: bool = False,
     ) -> list[StoredRecord]:
         """Batched :meth:`restore_record`: admit a whole run of
@@ -1406,17 +1405,16 @@ class EntityStore:
         Field indexing is hoisted column-wise: one pass down the run per
         indexed field instead of a per-record method fan-out.
 
-        ``adopt=True`` is the zero-copy handover for decoded batches:
-        the caller certifies it owns every ``data`` dict (freshly built
-        by a codec, aliased nowhere else) and the store takes them
-        without the defensive copy.  ``shareable=True`` certifies every
-        data value would pass the store's shareability walk (the
-        producer already knew — the primary's ``stored.shareable``, or
-        the coalescer's scalar check), so the per-record walk is
-        skipped with the same conclusion.
+        Every ``data`` dict is shallow-copied, as
+        :meth:`restore_record` does, so one shipped op run can feed
+        several followers without aliasing.  ``shareable=True``
+        certifies every data value would pass the store's shareability
+        walk (the producer already knew — the primary's
+        ``stored.shareable``, or the coalescer's scalar check), so the
+        per-record walk is skipped with the same conclusion.
 
         The replicated catch-up path uses this to absorb a shipped op
-        batch; final store state is identical to replaying the entries
+        run; final store state is identical to replaying the entries
         one at a time through :meth:`restore_record` (the accumulator
         reaches the same state from one ``rows`` op as from N ``row``
         ops — only its ``updates`` tick count differs, which no durable
@@ -1439,7 +1437,7 @@ class EntityStore:
                     ids.bump_to(record_id)
                 stored = StoredRecord(
                     record_id,
-                    data if adopt else dict(data),
+                    dict(data),
                     version=version,
                     shareable=shareable,
                 )

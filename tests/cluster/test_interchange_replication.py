@@ -1,12 +1,13 @@
-"""Interchange on the replication and telemetry paths.
+"""Replication catch-up and the interchange codec on its edges.
 
-The pinned contracts: batched frame catch-up lands followers in
-``capture_state`` **byte-identical** state to the per-op replay
-(coalesced insert runs included), a second ``LogTruncated`` during
-bootstrap cannot escape ``catch_up``, explicit ``prune_to`` caps a
-ship buffer pinned by a never-caught-up follower (and evicts the
-coalesced-run payload cache), telemetry op frames absorb to the same
-accumulator state as the in-process queue, and the shareable
+The pinned contracts: batched in-memory catch-up lands followers in
+``capture_state`` **byte-identical** state to a per-op replay, and
+followers fed one shipped tail never alias each other or the primary;
+the framed wire form (coalesced insert runs included) replays to the
+primary's state; a second ``LogTruncated`` during bootstrap cannot
+escape ``catch_up``; explicit ``prune_to`` caps a ship buffer pinned by
+a never-caught-up follower; telemetry op frames absorb to the same
+accumulator state as the in-process queue; and the shareable
 certification chain never over-claims.
 """
 
@@ -24,8 +25,13 @@ from repro.cluster.replication import (
     ReplicationLog,
 )
 from repro.dq.metadata import Clock
-from repro.interchange import forced_interchange
-from repro.persistence import capture_state, encode_payload
+from repro.persistence import (
+    apply_op,
+    apply_ops,
+    capture_state,
+    encode_payload,
+    op_tick,
+)
 from repro.runtime.dqengine import build_app
 from repro.runtime.storage import _values_shareable
 
@@ -80,42 +86,62 @@ def _state(app) -> bytes:
 
 def test_batched_catch_up_is_byte_identical_to_per_op():
     log = _seed_primary(ReplicationLog())[0].persistence
-    tail = log.ship(0)
+    tail = log.ship(0)  # catch_up prunes what it applied
+    replicas = ReplicaSet(_make_app, log, count=1)
+    replicas.catch_up()
 
-    def lane(batched: bool):
-        fresh = ReplicationLog()
-        for _seq, op in tail:
-            fresh.append(op)
-        fresh.sync()
-        replicas = ReplicaSet(_make_app, fresh, count=1)
-        with forced_interchange(batched):
-            replicas.catch_up()
-        return _state(replicas.follower(0))
-
-    assert lane(True) == lane(False)
+    per_op = _make_app()
+    for _seq, op in tail:
+        apply_op(per_op, op)
+        per_op.clock.advance_to(op_tick(op))
+    assert _state(replicas.follower(0)) == _state(per_op)
 
 
 def test_batched_catch_up_matches_the_primary():
     log = ReplicationLog()
     primary, _spec = _seed_primary(log)
     replicas = ReplicaSet(_make_app, log, count=2)
-    with forced_interchange(True):
-        replicas.catch_up()
+    replicas.catch_up()
     assert _state(replicas.follower(0)) == _state(primary)
     assert _state(replicas.follower(1)) == _state(primary)
 
 
+def test_followers_never_alias_shipped_row_dicts():
+    log = ReplicationLog()
+    primary, spec = _seed_primary(log)
+    replicas = ReplicaSet(_make_app, log, count=2)
+    replicas.catch_up()
+    first, second = (
+        replicas.follower(index).store.entity(spec.entity)._records
+        for index in range(2)
+    )
+    originals = primary.store.entity(spec.entity)._records
+    assert set(first) == set(second) == set(originals)
+    for record_id, stored in first.items():
+        assert stored.data is not second[record_id].data
+        assert stored.data is not originals[record_id].data
+
+    primary_before = _state(primary)
+    second_before = _state(replicas.follower(1))
+    for stored in first.values():
+        stored.data["detailed_comments"] = "mutated on follower 0"
+    assert _state(replicas.follower(0)) != second_before
+    assert _state(replicas.follower(1)) == second_before
+    assert _state(primary) == primary_before
+
+
 def test_coalesced_run_is_replayed_record_for_record():
-    # a pure insert run well past COALESCE_MIN ships as one synthetic
-    # rows op; the follower must be indistinguishable from per-op replay
+    # a pure insert run well past COALESCE_MIN ships on the wire as one
+    # synthetic rows op; the decoded frame must replay to the primary
     log = ReplicationLog()
     primary, spec = _seed_primary(
         log, inserts=interchange.COALESCE_MIN * 3, batches=0
     )
-    replicas = ReplicaSet(_make_app, log, count=1)
-    with forced_interchange(True):
-        replicas.catch_up()
-    follower = replicas.follower(0)
+    decoded = interchange.decode_op_batch(log.ship_frame(0))
+    assert any(op["op"] == "rows" for _seq, op in decoded)
+    follower = _make_app()
+    apply_ops(follower, [op for _seq, op in decoded])
+    follower.clock.advance_to(max(op_tick(op) for _seq, op in decoded))
     assert _state(follower) == _state(primary)
     records = follower.store.entity(spec.entity)._records
     originals = primary.store.entity(spec.entity)._records
@@ -144,8 +170,7 @@ def test_certified_records_match_the_walk():
     log.sync()
 
     replicas = ReplicaSet(_make_app, log, count=1)
-    with forced_interchange(True):
-        replicas.catch_up()
+    replicas.catch_up()
     follower_records = replicas.follower(0).store.entity(
         spec.entity
     )._records
@@ -168,38 +193,30 @@ class _PruningLog(ReplicationLog):
         super().__init__()
         self._remaining = truncations
 
-    def _maybe_truncate(self):
+    def ship(self, after_seq):
         if self._remaining > 0:
             self._remaining -= 1
             raise LogTruncated("pruned again while bootstrapping")
-
-    def ship(self, after_seq):
-        self._maybe_truncate()
         return super().ship(after_seq)
 
-    def ship_frame(self, after_seq):
-        self._maybe_truncate()
-        return super().ship_frame(after_seq)
 
-
-@pytest.mark.parametrize("batched", [False, True])
-def test_second_truncation_is_absorbed_by_the_retry(batched):
+@pytest.mark.parametrize("rows_ops", [False, True])
+def test_second_truncation_is_absorbed_by_the_retry(rows_ops):
+    # with and without compact ``rows`` ops in the bootstrapped tail
     log = _PruningLog(truncations=CATCHUP_ATTEMPTS - 1)
-    primary, _spec = _seed_primary(log, inserts=8, batches=0)
+    primary, _spec = _seed_primary(log, inserts=8, batches=2 * rows_ops)
     replicas = ReplicaSet(_make_app, log, count=1)
-    with forced_interchange(batched):
-        replicas.catch_up()  # must not raise
+    replicas.catch_up()  # must not raise
     assert _state(replicas.follower(0)) == _state(primary)
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_unbounded_pruning_surfaces_after_bounded_attempts(batched):
+@pytest.mark.parametrize("rows_ops", [False, True])
+def test_unbounded_pruning_surfaces_after_bounded_attempts(rows_ops):
     log = _PruningLog(truncations=10 ** 9)
-    _seed_primary(log, inserts=8, batches=0)
+    _seed_primary(log, inserts=8, batches=2 * rows_ops)
     replicas = ReplicaSet(_make_app, log, count=1)
-    with forced_interchange(batched):
-        with pytest.raises(LogTruncated, match="could not outrun"):
-            replicas.catch_up()
+    with pytest.raises(LogTruncated, match="could not outrun"):
+        replicas.catch_up()
 
 
 # -- prune_to and the never-caught-up follower ------------------------------
@@ -223,53 +240,19 @@ def test_prune_to_caps_a_buffer_pinned_by_a_lagging_follower():
         for _ in range(interchange.COALESCE_MIN + 4):
             entity.insert(spec.clean_payload(rng))
         log.sync()
-        with forced_interchange(True):
-            tail = replicas._ship_tail(0)
-            follower = replicas.followers[0]
-            from repro.persistence import apply_ops
-
-            apply_ops(follower, [op for _s, op in tail], adopt=True)
-            replicas._applied[0] = tail[-1][0]
+        tail = replicas._ship_tail(0)
+        apply_ops(replicas.followers[0], [op for _s, op in tail])
+        replicas._applied[0] = tail[-1][0]
         sizes.append(shippable())
     assert sizes[0] < sizes[1] < sizes[2]  # monotone growth while pinned
 
     # the operator caps it at the acked watermark
     log.prune_to(log.acked_seq)
     assert shippable() == 0
-    assert not log._encoded  # per-op payload cache evicted
-    assert not log._coalesced  # coalesced-run payload cache evicted
 
     # the starved follower re-bootstraps off the lead on next catch-up
-    with forced_interchange(True):
-        replicas.catch_up()
+    replicas.catch_up()
     assert _state(replicas.follower(1)) == _state(primary)
-
-
-def test_coalesced_cache_evicts_only_pruned_spans():
-    spec = easychair_spec()
-    log = ReplicationLog()
-    primary = _make_app(log)
-    entity = primary.store.entity(spec.entity)
-    rng = random.Random(13)
-    for _ in range(interchange.COALESCE_MIN):
-        entity.insert(spec.clean_payload(rng))
-    first_run_end = None
-    log.sync()
-    log.ship_frame(0)
-    assert len(log._coalesced) == 1
-    (first_span,) = log._coalesced
-    first_run_end = first_span[1]
-    entity.update(1, {"detailed_comments": "break the run"})
-    for _ in range(interchange.COALESCE_MIN):
-        entity.insert(spec.clean_payload(rng))
-    log.sync()
-    log.ship_frame(0)
-    assert len(log._coalesced) == 2
-    log.prune_to(first_run_end)
-    assert list(log._coalesced) == [
-        span for span in log._coalesced if span[0] > first_run_end
-    ]
-    assert len(log._coalesced) == 1
 
 
 # -- telemetry equivalence --------------------------------------------------
@@ -284,18 +267,11 @@ def test_telemetry_frame_absorbs_to_in_process_state():
     mirror_in_process = _make_app()
     entity = shipper.store.entity(spec.entity)
     rng = random.Random(29)
-    with forced_interchange(True):
-        stored = [
-            entity.insert(spec.clean_payload(rng)) for _ in range(12)
-        ]
-        entity.insert_many(
-            [spec.clean_payload(rng) for _ in range(6)]
-        )
-        entity.update(
-            stored[0].record_id, {"detailed_comments": "edited"}
-        )
-        entity.delete(stored[1].record_id)
-        frame = entity.ship_telemetry_ops()
+    stored = [entity.insert(spec.clean_payload(rng)) for _ in range(12)]
+    entity.insert_many([spec.clean_payload(rng) for _ in range(6)])
+    entity.update(stored[0].record_id, {"detailed_comments": "edited"})
+    entity.delete(stored[1].record_id)
+    frame = entity.ship_telemetry_ops()
     assert frame is not None
     mirror_framed.store.entity(spec.entity).absorb_telemetry_frame(frame)
     mirror_in_process.store.entity(spec.entity).telemetry.absorb(
